@@ -1,6 +1,8 @@
 #include "core/sweep_engine.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/saturation.hpp"
@@ -152,19 +154,41 @@ sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {
 std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
                                           bool run_sim) {
   std::vector<PointResult> results(lambdas.size());
-  util::parallel_for(lambdas.size(), [&](std::size_t i) {
-    PointResult& pt = results[i];
-    pt.lambda = lambdas[i];
-    if (model_) {
-      pt.model = model_point(pt.lambda);
-      pt.has_model = true;
+  for_each_point(lambdas, run_sim, [&](std::size_t i, const PointResult& pt) {
+    results[i] = pt;
+  });
+  return results;
+}
+
+// The model chain walks the store's key order (ascending lambda for the
+// non-negative rates a model accepts), the same order the warm-start lookup
+// searches, so every solve sees exactly the points below it and nothing
+// else from this batch. A model point costs about a millisecond; the
+// simulations are what the pool is for.
+void SweepEngine::for_each_point(
+    const std::vector<double>& lambdas, bool run_sim,
+    const std::function<void(std::size_t, const PointResult&)>& on_point) {
+  std::vector<PointResult> points(lambdas.size());
+  for (std::size_t i = 0; i < lambdas.size(); ++i) points[i].lambda = lambdas[i];
+  if (model_) {
+    std::vector<std::size_t> order(lambdas.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return lambda_key(lambdas[a]) < lambda_key(lambdas[b]);
+    });
+    for (std::size_t i : order) {
+      points[i].model = model_point(lambdas[i]);
+      points[i].has_model = true;
     }
+  }
+  util::parallel_for(lambdas.size(), [&](std::size_t i) {
+    PointResult& pt = points[i];
     if (run_sim) {
       pt.sim = sim_point(pt.lambda, point_seed(i));
       pt.has_sim = true;
     }
+    on_point(i, pt);
   });
-  return results;
 }
 
 SaturationResult SweepEngine::saturation_rate(double rel_tol) {

@@ -4,21 +4,25 @@
 // parameter studies, the capacity-planning daemon — ultimately evaluates
 // (scenario, lambda) points. The engine centralises that loop for *any*
 // valid ScenarioSpec: the model registry (core/model_registry.hpp)
-// dispatches the spec to its analytical model family (hot-spot torus,
-// uniform torus, hot-spot hypercube, uniform mesh) at construction, and
-// every model_point goes through that polymorphic interface; sim-only specs
-// (permutation patterns, MMPP arrivals, bidirectional links, n ≠ 2 tori,
-// faulty networks) still run simulations through the same engine with the
-// model side reported absent. Points are batched across the global thread
-// pool (util/thread_pool, KNCUBE_THREADS), simulator seeds are derived
-// per-point so series are reproducible regardless of scheduling, and
-// repeated points are memoized through a pluggable ResultStore
-// (core/result_store.hpp):
+// dispatches the spec to its analytical model family (hot-spot and uniform
+// tori with Bernoulli or MMPP arrivals, hot-spot hypercube, uniform and
+// centre-hot-spot mesh) at construction, and every model_point goes through
+// that polymorphic interface; sim-only specs (permutation patterns, bursty
+// mesh/hypercube arrivals, bidirectional links, n ≠ 2 tori, faulty
+// networks) still run simulations through the same engine with the model
+// side reported absent. One method, for_each_point, evaluates a batch
+// for both run() and the capacity-planning daemon: it solves the model
+// points serially in ascending lambda, then batches the simulations across
+// the global thread pool (util/thread_pool, KNCUBE_THREADS). Simulator seeds
+// are derived per point, so every field of every point is reproducible
+// regardless of scheduling and core count. Repeated points are memoized
+// through a pluggable ResultStore (core/result_store.hpp):
 //
 //  * model solves are deterministic in (scenario, lambda), so model entries
 //    are keyed by (spec key, lambda bits) — overlapping sweeps (e.g. a
 //    saturation bisection followed by a figure sweep, or two panels sharing
-//    a grid) pay for each fixed point once;
+//    a grid) pay for each fixed point once. A cached point reports the
+//    iterations of the solve that first produced it;
 //  * simulator runs are only deterministic given a seed, so sim entries are
 //    keyed by (spec key, lambda bits, seed). Identical lambdas at
 //    *different* point indices derive different seeds on purpose: they are
@@ -51,11 +55,19 @@
 // points, never lose or alter one); no such budget-marginal point has been
 // observed in this model family, and tests/model/warm_start_test pins
 // warm-on/warm-off equivalence across sweeps including the knee.
+//
+// The iteration count, unlike the values, is a property of the path: that
+// is why for_each_point fixes the chain order instead of letting pool
+// workers race to the warm-start lookup. Across batches it still reflects
+// what the store already held — in a long-lived daemon a new point may
+// warm-start from another request's cached solve, with bit-identical values
+// but an iterations count that reflects that request history.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,10 +107,20 @@ class SweepEngine {
   const model::AnalyticalModel& analytical_model() const;
 
   /// Runs `lambdas` through the model (when one exists) and (when `run_sim`)
-  /// the simulator. Points execute in parallel on the global thread pool;
-  /// results come back in input order.
+  /// the simulator via for_each_point; results come back in input order.
   std::vector<PointResult> run(const std::vector<double>& lambdas,
                                bool run_sim = true);
+
+  /// Evaluates `lambdas` and hands each finished point to
+  /// `on_point(index, point)`. Model points are solved first, serially in
+  /// ascending lambda, so each warm-starts from the points below it and its
+  /// result — iterations included — does not depend on the thread schedule.
+  /// Simulations (when `run_sim`) then batch across the global thread pool;
+  /// `on_point` runs on pool threads, possibly concurrently, in completion
+  /// order.
+  void for_each_point(
+      const std::vector<double>& lambdas, bool run_sim,
+      const std::function<void(std::size_t, const PointResult&)>& on_point);
 
   /// One model evaluation, memoized through the store and deduplicated
   /// against identical in-flight solves. Throws std::logic_error for

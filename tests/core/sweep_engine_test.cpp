@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -48,6 +50,34 @@ TEST(SweepEngine, OverlappingSweepsShareModelSolves) {
   EXPECT_EQ(engine.model_cache_hits(), hits_before + 3);
   for (std::size_t i = 0; i < lams.size(); ++i) {
     EXPECT_EQ(first[i].model.latency, second[i].model.latency);
+  }
+}
+
+TEST(SweepEngine, ModelPointsChainInAscendingLambdaWhateverTheInputOrder) {
+  // A batch's model answer — iterations included — must not depend on input
+  // order or on which point a pool worker happens to reach first: run()
+  // solves the model chain in ascending lambda, exactly as a caller solving
+  // one point at a time from the bottom up would.
+  const std::vector<double> shuffled = {3e-4, 1e-4, 2e-4};
+  SweepEngine engine(small_scenario());
+  const auto pts = engine.run(shuffled, /*run_sim=*/false);
+
+  SweepEngine reference(small_scenario());
+  std::vector<double> ascending = shuffled;
+  std::sort(ascending.begin(), ascending.end());
+  std::map<double, model::ModelResult> expected;
+  for (double lambda : ascending) expected[lambda] = reference.model_point(lambda);
+
+  ASSERT_EQ(pts.size(), shuffled.size());
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    SCOPED_TRACE(shuffled[i]);
+    const model::ModelResult& want = expected.at(shuffled[i]);
+    ASSERT_TRUE(pts[i].has_model);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pts[i].lambda),
+              std::bit_cast<std::uint64_t>(shuffled[i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pts[i].model.latency),
+              std::bit_cast<std::uint64_t>(want.latency));
+    EXPECT_EQ(pts[i].model.iterations, want.iterations);
   }
 }
 
